@@ -12,7 +12,7 @@ import (
 // distance at all (the BFS tree path to every vertex survives), and a
 // faulted tree edge can only change vertices in the subtree hanging below
 // it. Run therefore classifies each fault, detaches the union R of the
-// affected subtrees, seeds every vertex of R from its surviving boundary
+// affected subtrees from its base Tree, seeds every vertex of R from its surviving boundary
 // arcs (whose far endpoints keep their exact base distance), and repairs R
 // level-synchronously. When R's arc volume exceeds the graph's — repairing
 // would cost more than starting over — it falls back to the full Runner,
@@ -28,111 +28,55 @@ import (
 // keep it — it amortizes its base table across every fault set sharing a
 // source, and rebases automatically (one full BFS) when the source moves.
 type Repairer struct {
-	g *graph.Graph
-	r *Runner // base runs + full-recompute fallback
+	g    *graph.Graph
+	r    *Runner // base runs + full-recompute fallback
+	base *Tree
 
-	src     int // base source; -1 until the first Run
-	bDist   []int32
-	bParent []int32
-	// Children of the base BFS tree in CSR form.
-	kidOff []int32
-	kids   []int32
+	src int // base source; -1 until the first Run
 
 	// out is the live table: base distances with the current repair
-	// patched in. Every patched vertex is in region; undo restores them.
-	out    []int32
-	region []int32
+	// patched in. Every patched vertex is in the base's region; undo
+	// restores them.
+	out []int32
 
+	// Per-run stamps (epoch ep): done marks settled region vertices,
+	// eMask the faulted edges.
 	ep    uint32
-	inR   []uint32
 	done  []uint32
 	eMask []uint32
 
 	seeds     []int64 // packed (level<<32 | vertex), sorted by level
 	cur, next []int32
 
-	full     bool
-	volLimit int
+	full bool
 }
 
 // NewRepairer returns a repairer bound to g. The base table is built
 // lazily on the first Run (it needs a source).
 func NewRepairer(g *graph.Graph) *Repairer {
 	n := g.N()
-	r := &Repairer{
-		g:        g,
-		r:        NewRunner(g),
-		src:      -1,
-		bDist:    make([]int32, n),
-		bParent:  make([]int32, n),
-		kidOff:   make([]int32, n+1),
-		out:      make([]int32, n),
-		region:   nil,
-		inR:      make([]uint32, n),
-		done:     make([]uint32, n),
-		eMask:    make([]uint32, g.M()),
-		cur:      make([]int32, 0, n),
-		next:     make([]int32, 0, n),
-		volLimit: g.M(),
+	return &Repairer{
+		g:     g,
+		r:     NewRunner(g),
+		base:  NewTree(g),
+		src:   -1,
+		out:   make([]int32, n),
+		done:  make([]uint32, n),
+		eMask: make([]uint32, g.M()),
+		seeds: make([]int64, 0, 64),
+		cur:   make([]int32, 0, n),
+		next:  make([]int32, 0, n),
 	}
-	if r.volLimit < 256 {
-		r.volLimit = 256
-	}
-	return r
-}
-
-// rebase runs the fault-free BFS from src and freezes it as the base
-// table, rebuilding the child CSR.
-func (r *Repairer) rebase(src int) {
-	r.r.Run(src, nil, nil)
-	n := r.g.N()
-	copy(r.bDist, r.r.dist)
-	for v := 0; v < n; v++ {
-		if r.bDist[v] > 0 {
-			r.bParent[v] = r.r.parent[v]
-		} else {
-			r.bParent[v] = -1
-		}
-	}
-	for i := range r.kidOff {
-		r.kidOff[i] = 0
-	}
-	for v := 0; v < n; v++ {
-		if p := r.bParent[v]; p >= 0 {
-			r.kidOff[p+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		r.kidOff[i+1] += r.kidOff[i]
-	}
-	if cap(r.kids) < int(r.kidOff[n]) {
-		r.kids = make([]int32, r.kidOff[n])
-	} else {
-		r.kids = r.kids[:r.kidOff[n]]
-	}
-	if r.seeds == nil {
-		r.seeds = make([]int64, 0, 64)
-	}
-	fill := r.cur[:0]
-	fill = append(fill, r.kidOff[:n]...)
-	for v := 0; v < n; v++ {
-		if p := r.bParent[v]; p >= 0 {
-			r.kids[fill[p]] = int32(v)
-			fill[p]++
-		}
-	}
-	copy(r.out, r.bDist)
-	r.src = src
-	r.region = r.region[:0]
 }
 
 // undo restores the live table to the base for every vertex the previous
-// repair detached.
+// repair detached, and starts a new region.
 func (r *Repairer) undo() {
-	for _, v := range r.region {
-		r.out[v] = r.bDist[v]
+	bDist := r.base.Dists()
+	for _, v := range r.base.Region() {
+		r.out[v] = bDist[v]
 	}
-	r.region = r.region[:0]
+	r.base.Reset()
 }
 
 // Run computes the distance table from src with the given edges disabled
@@ -140,76 +84,46 @@ func (r *Repairer) undo() {
 // are valid until the next Run.
 func (r *Repairer) Run(src int, disabledEdges []int) {
 	if src != r.src {
-		r.rebase(src)
-	} else {
-		r.undo()
+		// Rebase: freeze the fault-free BFS from src.
+		r.r.Run(src, nil, nil)
+		r.base.Freeze(r.r.dist, r.r.parent)
+		copy(r.out, r.r.dist)
+		r.src = src
 	}
+	r.undo()
 	r.full = false
 	if len(disabledEdges) == 0 {
 		return
 	}
 	r.ep++
 	if r.ep == 0 { // wrapped; reset stamps
-		for i := range r.inR {
-			r.inR[i], r.done[i] = 0, 0
-		}
-		for i := range r.eMask {
-			r.eMask[i] = 0
-		}
+		clear(r.done)
+		clear(r.eMask)
 		r.ep = 1
 	}
-	ep := r.ep
 	for _, id := range disabledEdges {
-		r.eMask[id] = ep
+		r.eMask[id] = r.ep
 	}
 	// Classify: a fault is a tree edge iff its deeper endpoint claims it
 	// as the parent link; only those detach a subtree.
+	bDist, bParent := r.base.Dists(), r.base.Parents()
 	for _, id := range disabledEdges {
 		e := r.g.EdgeAt(id)
-		c := -1
-		if r.bDist[e.V] > 0 && int(r.bParent[e.V]) == e.U && r.bDist[e.V] == r.bDist[e.U]+1 {
-			c = e.V
-		} else if r.bDist[e.U] > 0 && int(r.bParent[e.U]) == e.V && r.bDist[e.U] == r.bDist[e.V]+1 {
-			c = e.U
-		}
-		if c >= 0 && r.inR[c] != ep {
-			r.inR[c] = ep
-			r.region = append(r.region, int32(c))
+		if bDist[e.V] > 0 && int(bParent[e.V]) == e.U && bDist[e.V] == bDist[e.U]+1 {
+			r.base.Cut(e.V)
+		} else if bDist[e.U] > 0 && int(bParent[e.U]) == e.V && bDist[e.U] == bDist[e.V]+1 {
+			r.base.Cut(e.U)
 		}
 	}
-	if len(r.region) == 0 {
+	if len(r.base.Region()) == 0 {
 		return // every fault is a non-tree edge: exact no-op
 	}
-	if !r.detach() {
+	if !r.base.Detach() {
 		r.full = true
-		r.region = r.region[:0]
 		r.r.Run(src, disabledEdges, nil)
 		return
 	}
 	r.repair()
-}
-
-// detach expands region to the full descendant set of its roots under the
-// base tree, or reports false when the arc volume passes volLimit.
-//
-//ftbfs:hotpath
-func (r *Repairer) detach() bool {
-	ep := r.ep
-	vol := 0
-	for i := 0; i < len(r.region); i++ {
-		v := r.region[i]
-		vol += r.g.Degree(int(v))
-		if vol > r.volLimit {
-			return false
-		}
-		for _, c := range r.kids[r.kidOff[v]:r.kidOff[v+1]] {
-			if r.inR[c] != ep {
-				r.inR[c] = ep
-				r.region = append(r.region, c)
-			}
-		}
-	}
-	return true
 }
 
 // repair re-settles the detached region level-synchronously. Each x in R
@@ -221,15 +135,15 @@ func (r *Repairer) detach() bool {
 //
 //ftbfs:hotpath
 func (r *Repairer) repair() {
-	ep := r.ep
-	inR, done, eMask := r.inR, r.done, r.eMask
-	bDist, out := r.bDist, r.out
+	ep, inEp := r.ep, r.base.ep
+	inR, done, eMask := r.base.in, r.done, r.eMask
+	bDist, out := r.base.dist, r.out
 	r.seeds = r.seeds[:0]
-	for _, x := range r.region {
+	for _, x := range r.base.region {
 		out[x] = Unreachable
 		best := int32(-1)
 		for _, a := range r.g.Arcs(int(x)) {
-			if inR[a.To] == ep || eMask[a.ID] == ep || bDist[a.To] < 0 {
+			if inR[a.To] == inEp || eMask[a.ID] == ep || bDist[a.To] < 0 {
 				continue
 			}
 			if d := bDist[a.To] + 1; best < 0 || d < best {
@@ -268,7 +182,7 @@ func (r *Repairer) repair() {
 			done[x] = ep
 			out[x] = d
 			for _, a := range r.g.Arcs(int(x)) {
-				if inR[a.To] != ep || done[a.To] == ep || eMask[a.ID] == ep {
+				if inR[a.To] != inEp || done[a.To] == ep || eMask[a.ID] == ep {
 					continue
 				}
 				next = append(next, a.To)
@@ -306,7 +220,7 @@ func (r *Repairer) Changed() ([]int32, bool) {
 	if r.full {
 		return nil, false
 	}
-	return r.region, true
+	return r.base.Region(), true
 }
 
 // Base returns the fault-free distance table for the current source — the
@@ -318,5 +232,5 @@ func (r *Repairer) Base() []int32 {
 	if r.src < 0 {
 		return nil
 	}
-	return r.bDist
+	return r.base.Dists()
 }

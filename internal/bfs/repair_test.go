@@ -57,7 +57,7 @@ func TestRepairRegimeEquivalence(t *testing.T) {
 						moved[v] = true
 					}
 					for v := 0; v < g.N(); v++ {
-						if rep.Dist(v) != rep.bDist[v] && !moved[int32(v)] {
+						if rep.Dist(v) != rep.base.dist[v] && !moved[int32(v)] {
 							t.Fatalf("trial %d: dist[%d] changed but not in Changed()", trial, v)
 						}
 					}
@@ -79,8 +79,8 @@ func TestRepairFaultClasses(t *testing.T) {
 	var treeEdges, nonTree []int
 	for id := 0; id < g.M(); id++ {
 		e := g.EdgeAt(id)
-		if (rep.bDist[e.V] == rep.bDist[e.U]+1 && int(rep.bParent[e.V]) == e.U) ||
-			(rep.bDist[e.U] == rep.bDist[e.V]+1 && int(rep.bParent[e.U]) == e.V) {
+		if (rep.base.dist[e.V] == rep.base.dist[e.U]+1 && int(rep.base.parent[e.V]) == e.U) ||
+			(rep.base.dist[e.U] == rep.base.dist[e.V]+1 && int(rep.base.parent[e.U]) == e.V) {
 			treeEdges = append(treeEdges, id)
 		} else {
 			nonTree = append(nonTree, id)
@@ -125,7 +125,7 @@ func TestRepairVolumeFallback(t *testing.T) {
 	rep := NewRepairer(g)
 	ref := NewRunner(g)
 	rep.Run(0, nil)
-	rep.volLimit = 1
+	rep.base.volLimit = 1
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 20; trial++ {
 		faults := []int{rng.Intn(g.M()), rng.Intn(g.M())}
@@ -133,7 +133,7 @@ func TestRepairVolumeFallback(t *testing.T) {
 		ref.Run(0, faults, nil)
 		compareDists(t, rep, ref, "capped")
 	}
-	rep.volLimit = g.M()
+	rep.base.volLimit = g.M()
 	faults := []int{1, 2, 3}
 	rep.Run(0, faults)
 	ref.Run(0, faults, nil)

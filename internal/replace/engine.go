@@ -15,6 +15,7 @@ package replace
 import (
 	"fmt"
 
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/path"
 	"repro/internal/wsp"
@@ -114,11 +115,10 @@ type Engine struct {
 
 	search *wsp.RepairSearch
 
-	// Canonical BFS/SP tree T0 rooted at s.
-	treeParent  []int32
-	treeParentE []int32
-	treeDist    []int32
-	childEdges  [][]int32 // edges to children in T0, per vertex
+	// Canonical BFS/SP tree T0 rooted at s: the search's frozen base and
+	// its parent edges.
+	tree     *bfs.Tree
+	treeEdge []int32
 
 	stats Stats
 
@@ -140,31 +140,18 @@ func NewEngine(g *graph.Graph, w *wsp.Assignment, s int) (*Engine, error) {
 		return nil, fmt.Errorf("replace: assignment covers %d edges, graph has %d", w.M(), g.M())
 	}
 	e := &Engine{
-		g:           g,
-		w:           w,
-		s:           s,
-		treeParent:  make([]int32, g.N()),
-		treeParentE: make([]int32, g.N()),
-		treeDist:    make([]int32, g.N()),
-		childEdges:  make([][]int32, g.N()),
-		onPi:        make([]int32, g.N()),
-		piStamp:     make([]int, g.N()),
+		g:       g,
+		w:       w,
+		s:       s,
+		onPi:    make([]int32, g.N()),
+		piStamp: make([]int, g.N()),
 	}
-	// The repair search runs the base Dijkstra at construction; it is the
+	// The repair search runs the base search at construction; it is the
 	// same canonical tree a from-scratch run would produce, so it counts
 	// as the engine's first search exactly as before.
 	e.search = wsp.NewRepairSearch(g, w, s)
 	e.stats.Dijkstras++
-	for v := 0; v < g.N(); v++ {
-		e.treeParent[v] = int32(e.search.ParentOf(v))
-		e.treeParentE[v] = int32(e.search.ParentEdgeOf(v))
-		e.treeDist[v] = e.search.HopDist(v)
-	}
-	for v := 0; v < g.N(); v++ {
-		if p := e.treeParent[v]; p >= 0 {
-			e.childEdges[p] = append(e.childEdges[p], e.treeParentE[v])
-		}
-	}
+	e.tree, e.treeEdge = e.search.Base()
 	return e, nil
 }
 
@@ -187,14 +174,14 @@ func (e *Engine) Stats() Stats {
 func (e *Engine) DisableRepair() { e.search.DisableRepair() }
 
 // TreeDist returns the fault-free distance from s to v (-1 if unreachable).
-func (e *Engine) TreeDist(v int) int32 { return e.treeDist[v] }
+func (e *Engine) TreeDist(v int) int32 { return e.tree.Dists()[v] }
 
 // TreeEdges returns the edge IDs of the canonical tree T0(s).
 func (e *Engine) TreeEdges() []int {
 	out := make([]int, 0, e.g.N())
-	for v := 0; v < e.g.N(); v++ {
-		if e.treeParentE[v] >= 0 {
-			out = append(out, int(e.treeParentE[v]))
+	for _, id := range e.treeEdge {
+		if id >= 0 {
+			out = append(out, int(id))
 		}
 	}
 	return out
@@ -202,12 +189,13 @@ func (e *Engine) TreeEdges() []int {
 
 // TreeEdgesAt returns E(v, T0): the IDs of tree edges incident to v.
 func (e *Engine) TreeEdgesAt(v int) []int {
-	out := make([]int, 0, len(e.childEdges[v])+1)
-	if e.treeParentE[v] >= 0 {
-		out = append(out, int(e.treeParentE[v]))
+	kids := e.tree.Children(v)
+	out := make([]int, 0, len(kids)+1)
+	if e.treeEdge[v] >= 0 {
+		out = append(out, int(e.treeEdge[v]))
 	}
-	for _, id := range e.childEdges[v] {
-		out = append(out, int(id))
+	for _, c := range kids {
+		out = append(out, int(e.treeEdge[c]))
 	}
 	return out
 }
@@ -215,12 +203,13 @@ func (e *Engine) TreeEdgesAt(v int) []int {
 // PiTo returns the canonical shortest path π(s,v), or nil when v is
 // unreachable from s.
 func (e *Engine) PiTo(v int) path.Path {
-	if e.treeDist[v] < 0 {
+	dist, parent := e.tree.Dists(), e.tree.Parents()
+	if dist[v] < 0 {
 		return nil
 	}
-	p := make(path.Path, e.treeDist[v]+1)
+	p := make(path.Path, dist[v]+1)
 	i := len(p) - 1
-	for u := v; u != -1; u = int(e.treeParent[u]) {
+	for u := v; u != -1; u = int(parent[u]) {
 		p[i] = u
 		i--
 	}

@@ -36,7 +36,7 @@ type TargetResult struct {
 // for analysis and tests). It returns nil when v is the source or v is
 // unreachable from the source.
 func (e *Engine) BuildTarget(v int, collect bool) *TargetResult {
-	if v == e.s || e.treeDist[v] < 0 {
+	if v == e.s || e.TreeDist(v) < 0 {
 		return nil
 	}
 	tr := &TargetResult{V: v, Pi: e.PiTo(v)}
@@ -82,7 +82,7 @@ func (e *Engine) BuildTarget(v int, collect bool) *TargetResult {
 // single-failure structure of [10] (baseline in the experiments). It returns
 // nil when v is the source or unreachable.
 func (e *Engine) BuildTargetSingle(v int, collect bool) *TargetResult {
-	if v == e.s || e.treeDist[v] < 0 {
+	if v == e.s || e.TreeDist(v) < 0 {
 		return nil
 	}
 	tr := &TargetResult{V: v, Pi: e.PiTo(v)}

@@ -2,6 +2,7 @@ package wsp
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/gen"
@@ -40,5 +41,28 @@ func BenchmarkSearchMasked(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Run(0, Options{Target: -1, DisabledEdges: faults, DisabledVertices: off})
+	}
+}
+
+// BenchmarkRepairSearch is the build plane's kernel shape: one base tree,
+// repaired under dual faults drawn from its tree edges.
+func BenchmarkRepairSearch(b *testing.B) {
+	g := gen.SparseGNP(1600, 8, 1)
+	r := NewRepairSearch(g, NewAssignment(g.M(), 1), 0)
+	var tree []int
+	for v := 0; v < g.N(); v++ {
+		if e := r.ParentEdgeOf(v); e >= 0 {
+			tree = append(tree, e)
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	faultSets := make([][]int, 64)
+	for i := range faultSets {
+		faultSets[i] = []int{tree[rng.Intn(len(tree))], tree[rng.Intn(len(tree))]}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Run(0, Options{Target: -1, DisabledEdges: faultSets[i%len(faultSets)]})
 	}
 }

@@ -1,23 +1,25 @@
 package wsp
 
 import (
+	"slices"
+
+	"repro/internal/bfs"
 	"repro/internal/graph"
-	"repro/internal/path"
 )
 
 // RepairSearch answers the same queries as Search for one fixed source by
-// incrementally repairing the canonical base tree instead of re-running
-// Dijkstra from scratch. The observation (arXiv:1505.00692 §2, shared with
+// incrementally repairing the canonical base tree instead of searching
+// from scratch. The observation (arXiv:1505.00692 §2, shared with
 // the Gupta–Khan multi-source construction) is that under the isolation
 // weight assignment the canonical tree is the union of the unique
 // weight-minimal shortest paths, so a fault set can only change the answer
 // for vertices in the subtrees hanging below faulted tree edges (plus the
 // subtrees of disabled vertices). Everything outside that detached region R
 // keeps its exact base (hops, tie, parent, parentE); vertices inside R are
-// re-settled by a Dijkstra restricted to R, seeded from the surviving
-// boundary arcs. Because the optimum is unique per vertex, the repaired
-// values are bit-identical to a from-scratch run — the repair changes the
-// settle schedule, never the result.
+// re-settled by the same settle loop as Search, restricted to R and seeded
+// from the surviving boundary arcs. Because the optimum is unique per
+// vertex, the repaired values are bit-identical to a from-scratch run —
+// the repair changes the settle schedule, never the result.
 //
 // Contract: after a Run with a Target, accessors are valid for the target,
 // every vertex on the target's path, and every vertex outside R (exactly
@@ -25,216 +27,132 @@ import (
 // Target, accessors are valid for all vertices. A RepairSearch is not safe
 // for concurrent use; create one per goroutine.
 type RepairSearch struct {
-	g   *graph.Graph
-	src int32
-
-	// scratch executes the base run at construction and absorbs every
-	// query repair cannot serve: a different source, a detached region
-	// past volLimit, or repair disabled. When full is true the last Run
-	// lives in scratch and every accessor delegates to it.
-	scratch *Search
+	// kernel is the live view: the base labels with the current repair
+	// patched in, or a whole from-scratch run (full). undo restores the
+	// base at the start of the next Run.
+	kernel
+	src     int32
 	full    bool
 	disable bool
 
-	// Frozen base tree (never mutated after construction). bHops is -1
-	// for vertices unreachable from src in the fault-free graph.
-	bHops    []int32
+	// Frozen base tree: hop depth, parent and children in base (whose
+	// region is the per-Run detach), tie sums and parent edges alongside.
+	base     *bfs.Tree
 	bTie     []int64
-	bParent  []int32
 	bParentE []int32
-	// Children of the base tree in CSR form: kids[kidOff[v]:kidOff[v+1]].
-	kidOff []int32
-	kids   []int32
 
-	// Live view: base values patched by the current repair. Only vertices
-	// in region are ever patched; undo restores them from the b-arrays at
-	// the start of the next Run.
-	hops    []int32
-	tie     []int64
-	parent  []int32
-	parentE []int32
-
-	// Per-run stamps (epoch ep): inR marks the detached region, seen/done
-	// mirror Search's tentative/settled stamps, vOff/eOff the masks.
-	ep     uint32
-	inR    []uint32
-	seen   []uint32
-	done   []uint32
-	vOff   []uint32
-	eOff   []uint32
-	region []int32 // R as a list; doubles as the undo list
-	heap   heapSlice
-
-	// volLimit caps the arc volume (sum of degrees) of R: past it a
-	// from-scratch run is cheaper than repairing, so Run falls back.
-	volLimit int
-
-	// ties counts residual equal-weight relaxations observed by repairs,
-	// mirroring Search.TieWarnings (which covers the base and fallback
-	// runs executed by scratch).
-	ties int
+	seeds []int64 // boundary seeds packed as hops<<32 | v, sorted
+	ties  int     // tie warnings across the base run, repairs and fallbacks
 }
 
 // NewRepairSearch builds the base canonical tree from src (one full
-// Dijkstra) and returns a repair engine bound to it. Accessors are
+// search) and returns a repair engine bound to it. Accessors are
 // immediately valid and reflect the fault-free base run.
 func NewRepairSearch(g *graph.Graph, w *Assignment, src int) *RepairSearch {
-	n, m := g.N(), g.M()
+	n := g.N()
 	r := &RepairSearch{
-		g:        g,
+		kernel:   newKernel(g, w),
 		src:      int32(src),
-		scratch:  NewSearch(g, w),
-		bHops:    make([]int32, n),
+		base:     bfs.NewTree(g),
 		bTie:     make([]int64, n),
-		bParent:  make([]int32, n),
 		bParentE: make([]int32, n),
-		kidOff:   make([]int32, n+1),
-		hops:     make([]int32, n),
-		tie:      make([]int64, n),
-		parent:   make([]int32, n),
-		parentE:  make([]int32, n),
-		inR:      make([]uint32, n),
-		seen:     make([]uint32, n),
-		done:     make([]uint32, n),
-		vOff:     make([]uint32, n),
-		eOff:     make([]uint32, m),
-		volLimit: m,
 	}
-	if r.volLimit < 256 {
-		r.volLimit = 256
-	}
-	r.scratch.Run(src, Options{Target: -1})
-	for v := 0; v < n; v++ {
-		if r.scratch.Reachable(v) {
-			wt, _ := r.scratch.Dist(v)
-			r.bHops[v], r.bTie[v] = wt.Hops, wt.Tie
-			r.bParent[v] = int32(r.scratch.ParentOf(v))
-			r.bParentE[v] = int32(r.scratch.ParentEdgeOf(v))
-		} else {
-			r.bHops[v], r.bParent[v], r.bParentE[v] = -1, -1, -1
+	r.ties = r.run(src, Options{Target: -1})
+	for v := range n {
+		if r.done[v] != r.ep {
+			r.hops[v], r.tie[v], r.parent[v], r.parentE[v] = -1, 0, -1, -1
 		}
 	}
-	copy(r.hops, r.bHops)
-	copy(r.tie, r.bTie)
-	copy(r.parent, r.bParent)
-	copy(r.parentE, r.bParentE)
-	for v := 0; v < n; v++ {
-		if p := r.bParent[v]; p >= 0 {
-			r.kidOff[p+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		r.kidOff[i+1] += r.kidOff[i]
-	}
-	r.kids = make([]int32, r.kidOff[n])
-	fill := make([]int32, n)
-	copy(fill, r.kidOff[:n])
-	for v := 0; v < n; v++ {
-		if p := r.bParent[v]; p >= 0 {
-			r.kids[fill[p]] = int32(v)
-			fill[p]++
-		}
-	}
+	r.base.Freeze(r.hops, r.parent)
+	copy(r.bTie, r.tie)
+	copy(r.bParentE, r.parentE)
 	return r
 }
 
-// Graph returns the graph the search is bound to.
-func (r *RepairSearch) Graph() *graph.Graph { return r.g }
-
-// DisableRepair makes every subsequent Run delegate to the from-scratch
-// Search (the NoRepair build option; results are identical either way).
+// DisableRepair makes every subsequent Run search from scratch (the
+// NoRepair build option; results are identical either way).
 func (r *RepairSearch) DisableRepair() { r.disable = true }
 
 // TieWarnings returns the residual equal-weight-path count accumulated
 // across the base run, all repairs, and all fallback runs — the same
 // evidence Search.TieWarnings carries that the assignment failed to
 // isolate a unique shortest path.
-func (r *RepairSearch) TieWarnings() int { return r.ties + r.scratch.TieWarnings }
+func (r *RepairSearch) TieWarnings() int { return r.ties }
 
 // Changed returns the detached region of the last Run — the only vertices
 // whose (hops, tie, parent, parentE) may differ from the base tree — and
 // ok=true when the run was served incrementally. ok=false means the run
-// fell back to scratch and every vertex may differ. Only meaningful after
+// searched from scratch and every vertex may differ. Only meaningful after
 // a Run without a Target; the slice is valid until the next Run.
 func (r *RepairSearch) Changed() ([]int32, bool) {
 	if r.full {
 		return nil, false
 	}
-	return r.region, true
+	return r.base.Region(), true
 }
 
-// undo restores the live arrays to the base tree for every vertex patched
-// (or merely detached) by the previous repair.
+// Base returns the frozen fault-free tree (hop depths, parents, children
+// in ascending vertex ID) and every vertex's base parent edge (-1 for the
+// source and unreachable vertices). Callers must not mutate either.
+func (r *RepairSearch) Base() (*bfs.Tree, []int32) { return r.base, r.bParentE }
+
+// undo restores the live view to the base tree: every vertex after a
+// from-scratch run, else the region of the previous repair.
 func (r *RepairSearch) undo() {
-	for _, v := range r.region {
-		r.hops[v] = r.bHops[v]
-		r.tie[v] = r.bTie[v]
-		r.parent[v] = r.bParent[v]
-		r.parentE[v] = r.bParentE[v]
+	bHops, bParent := r.base.Dists(), r.base.Parents()
+	if r.full {
+		copy(r.hops, bHops)
+		copy(r.tie, r.bTie)
+		copy(r.parent, bParent)
+		copy(r.parentE, r.bParentE)
+		r.full = false
+	} else {
+		for _, v := range r.base.Region() {
+			r.hops[v], r.tie[v] = bHops[v], r.bTie[v]
+			r.parent[v], r.parentE[v] = bParent[v], r.bParentE[v]
+		}
 	}
-	r.region = r.region[:0]
+	r.base.Reset()
 }
 
 // Run executes the query from src under the given restrictions, repairing
-// the base tree when possible and falling back to a from-scratch Dijkstra
-// otherwise. Results are valid until the next Run (see the type comment
-// for which accessors are valid after a Target run).
+// the base tree when possible and searching from scratch otherwise.
+// Results are valid until the next Run (see the type comment for which
+// accessors are valid after a Target run).
 func (r *RepairSearch) Run(src int, opt Options) {
 	r.undo()
 	if r.disable || int32(src) != r.src {
 		r.full = true
-		r.scratch.Run(src, opt)
+		r.ties += r.run(src, opt)
 		return
 	}
-	r.full = false
-	r.ep++
-	if r.ep == 0 { // wrapped; reset stamps
-		for i := range r.inR {
-			r.inR[i], r.seen[i], r.done[i], r.vOff[i] = 0, 0, 0, 0
-		}
-		for i := range r.eOff {
-			r.eOff[i] = 0
-		}
-		r.ep = 1
-	}
-	ep := r.ep
-	for _, e := range opt.DisabledEdges {
-		r.eOff[e] = ep
-	}
+	r.begin(opt)
+	r.in = r.base
 	// Detach the subtree of every disabled vertex (including the vertex
 	// itself: it is masked and never re-settled) and of the child endpoint
 	// of every faulted tree edge. Faulted non-tree edges detach nothing —
 	// the canonical tree is the union of the unique canonical paths, so
 	// removing a non-tree edge is an exact no-op.
 	for _, v := range opt.DisabledVertices {
-		r.vOff[v] = ep
-		if r.inR[v] != ep {
-			r.inR[v] = ep
-			r.region = append(r.region, int32(v))
-		}
+		r.base.Cut(v)
 	}
 	for _, id := range opt.DisabledEdges {
 		e := r.g.EdgeAt(id)
-		c := -1
 		if int(r.bParentE[e.V]) == id {
-			c = e.V
+			r.base.Cut(e.V)
 		} else if int(r.bParentE[e.U]) == id {
-			c = e.U
-		}
-		if c >= 0 && r.inR[c] != ep {
-			r.inR[c] = ep
-			r.region = append(r.region, int32(c))
+			r.base.Cut(e.U)
 		}
 	}
-	if !r.detach() {
+	if !r.base.Detach() {
 		r.full = true
-		r.scratch.Run(src, opt)
+		r.ties += r.run(src, opt)
 		return
 	}
-	if len(r.region) == 0 {
+	if len(r.base.Region()) == 0 {
 		return // exact no-op: every fault missed the tree
 	}
-	if opt.Target >= 0 && r.inR[opt.Target] != ep {
+	if opt.Target >= 0 && !r.base.In(int32(opt.Target)) {
 		// The target and its whole base path lie outside R: the base view
 		// already answers everything the caller may ask.
 		return
@@ -242,200 +160,46 @@ func (r *RepairSearch) Run(src int, opt Options) {
 	r.repair(opt.Target)
 }
 
-// detach expands region to the full set of base-tree descendants of its
-// roots, accumulating arc volume; it reports false when the volume passes
-// volLimit (a from-scratch run is cheaper than repairing that much).
-//
-//ftbfs:hotpath
-func (r *RepairSearch) detach() bool {
-	ep := r.ep
-	vol := 0
-	for i := 0; i < len(r.region); i++ {
-		v := r.region[i]
-		vol += r.g.Degree(int(v))
-		if vol > r.volLimit {
-			return false
-		}
-		for _, c := range r.kids[r.kidOff[v]:r.kidOff[v+1]] {
-			if r.inR[c] != ep {
-				r.inR[c] = ep
-				r.region = append(r.region, c)
-			}
-		}
-	}
-	return true
-}
-
 // repair re-settles the detached region: every vertex x in R is seeded
-// with the best crossing arc from the (exact, surviving) outside, then a
-// Dijkstra restricted to R finishes the job. By the last-crossing argument
-// the canonical path of every x in R decomposes into an exact outside
-// prefix, one crossing arc, and a suffix inside R, so the restricted
-// search reproduces the unique optimum — and therefore the exact parent
-// and parent edge — for every vertex it settles. R vertices left
-// unsettled are exactly the ones unreachable under the fault set.
+// with the best crossing arc from the (exact, surviving) outside, then the
+// settle loop restricted to R finishes the job. By the last-crossing
+// argument the canonical path of every x in R decomposes into an exact
+// outside prefix, one crossing arc, and a suffix inside R, so the
+// restricted search reproduces the unique optimum — and therefore the
+// exact parent and parent edge — for every vertex it settles. R vertices
+// left unsettled are exactly the ones unreachable under the fault set.
 //
 //ftbfs:hotpath
 func (r *RepairSearch) repair(target int) {
-	ep := r.ep
-	hops, tie := r.hops, r.tie
-	seen, done := r.seen, r.done
-	inR, vOff, eOff := r.inR, r.vOff, r.eOff
-	bHops, bTie := r.bHops, r.bTie
-	wTie := r.scratch.w.tie
-	r.heap = r.heap[:0]
-	for _, x := range r.region {
+	ep, w, in := r.ep, r.w, r.base
+	hops, tie, parent, parentE := r.hops, r.tie, r.parent, r.parentE
+	seen, vOff, eOff := r.seen, r.vOff, r.eOff
+	bHops, bTie := in.Dists(), r.bTie
+	r.seeds = r.seeds[:0]
+	for _, x := range in.Region() {
 		if vOff[x] == ep {
 			continue
 		}
 		for _, a := range r.g.Arcs(int(x)) {
 			u, eid := a.To, a.ID
-			if inR[u] == ep || eOff[eid] == ep || bHops[u] < 0 {
+			if in.In(u) || eOff[eid] == ep || bHops[u] < 0 {
 				continue
 			}
 			nh := bHops[u] + 1
-			nt := bTie[u] + wTie[eid]
-			if seen[x] != ep {
+			nt := bTie[u] + w[eid]
+			switch {
+			case seen[x] != ep || nh < hops[x] || (nh == hops[x] && nt < tie[x]):
 				seen[x] = ep
 				hops[x], tie[x] = nh, nt
-				r.parent[x], r.parentE[x] = u, eid
-				r.heap.push(heapItem{hops: nh, tie: nt, v: x})
-				continue
-			}
-			if nh < hops[x] || (nh == hops[x] && nt < tie[x]) {
-				hops[x], tie[x] = nh, nt
-				r.parent[x], r.parentE[x] = u, eid
-				r.heap.push(heapItem{hops: nh, tie: nt, v: x})
-			} else if nh == hops[x] && nt == tie[x] && r.parent[x] != u {
+				parent[x], parentE[x] = u, eid
+			case nh == hops[x] && nt == tie[x] && parent[x] != u:
 				r.ties++
 			}
 		}
-	}
-	for len(r.heap) > 0 {
-		it := r.heap.pop()
-		v := int(it.v)
-		if done[v] == ep {
-			continue
-		}
-		if it.hops != hops[v] || it.tie != tie[v] {
-			continue // stale entry
-		}
-		done[v] = ep
-		if target >= 0 && v == target {
-			return
-		}
-		for _, a := range r.g.Arcs(v) {
-			u, eid := a.To, a.ID
-			if inR[u] != ep || vOff[u] == ep || eOff[eid] == ep || done[u] == ep {
-				continue
-			}
-			nh := it.hops + 1
-			nt := it.tie + wTie[eid]
-			if seen[u] != ep {
-				seen[u] = ep
-				hops[u], tie[u] = nh, nt
-				r.parent[u], r.parentE[u] = it.v, eid
-				r.heap.push(heapItem{hops: nh, tie: nt, v: u})
-				continue
-			}
-			if nh < hops[u] || (nh == hops[u] && nt < tie[u]) {
-				hops[u], tie[u] = nh, nt
-				r.parent[u], r.parentE[u] = it.v, eid
-				r.heap.push(heapItem{hops: nh, tie: nt, v: u})
-			} else if nh == hops[u] && nt == tie[u] && r.parent[u] != it.v {
-				r.ties++
-			}
+		if seen[x] == ep {
+			r.seeds = append(r.seeds, int64(hops[x])<<32|int64(x))
 		}
 	}
-}
-
-// gated reports whether v is in the detached region but was not settled by
-// the repair — i.e. v is unreachable under the last fault set.
-func (r *RepairSearch) gated(v int) bool {
-	return r.inR[v] == r.ep && r.done[v] != r.ep
-}
-
-// Reachable reports whether v is reachable under the last Run's
-// restrictions (for Target runs, within the contract set).
-func (r *RepairSearch) Reachable(v int) bool {
-	if r.full {
-		return r.scratch.Reachable(v)
-	}
-	return !r.gated(v) && r.hops[v] >= 0
-}
-
-// HopDist returns the unweighted distance to v, or -1 when unreachable.
-func (r *RepairSearch) HopDist(v int) int32 {
-	if r.full {
-		return r.scratch.HopDist(v)
-	}
-	if r.gated(v) {
-		return -1
-	}
-	return r.hops[v]
-}
-
-// Dist returns the full weight to v and whether v is reachable.
-func (r *RepairSearch) Dist(v int) (Weight, bool) {
-	if r.full {
-		return r.scratch.Dist(v)
-	}
-	if r.gated(v) || r.hops[v] < 0 {
-		return Weight{}, false
-	}
-	return Weight{Hops: r.hops[v], Tie: r.tie[v]}, true
-}
-
-// PathTo returns the unique shortest path from the source to v under W, or
-// nil when v is unreachable.
-func (r *RepairSearch) PathTo(v int) path.Path {
-	if r.full {
-		return r.scratch.PathTo(v)
-	}
-	if r.gated(v) || r.hops[v] < 0 {
-		return nil
-	}
-	n := int(r.hops[v]) + 1
-	p := make(path.Path, n)
-	i := n - 1
-	for u := v; u != -1; u = int(r.parent[u]) {
-		p[i] = u
-		i--
-	}
-	return p
-}
-
-// ParentOf returns the predecessor of v on its shortest path (-1 for the
-// source or unreachable vertices).
-func (r *RepairSearch) ParentOf(v int) int {
-	if r.full {
-		return r.scratch.ParentOf(v)
-	}
-	if r.gated(v) {
-		return -1
-	}
-	return int(r.parent[v])
-}
-
-// ParentEdgeOf returns the edge ID connecting v to its predecessor, or -1.
-func (r *RepairSearch) ParentEdgeOf(v int) int {
-	if r.full {
-		return r.scratch.ParentEdgeOf(v)
-	}
-	if r.gated(v) {
-		return -1
-	}
-	return int(r.parentE[v])
-}
-
-// LastEdgeTo returns the final edge of the shortest path to v. ok is false
-// when v is unreachable or is the source itself.
-func (r *RepairSearch) LastEdgeTo(v int) (graph.Edge, bool) {
-	if r.full {
-		return r.scratch.LastEdgeTo(v)
-	}
-	if r.gated(v) || r.hops[v] < 0 || r.parent[v] < 0 {
-		return graph.Edge{}, false
-	}
-	return graph.Edge{U: int(r.parent[v]), V: v}.Normalize(), true
+	slices.Sort(r.seeds)
+	r.ties += r.settle(r.seeds, target)
 }

@@ -147,33 +147,51 @@ func TestRepairSearchFaultClasses(t *testing.T) {
 	checkRepairMatchesScratch(t, rep, ref, -1, "home-src")
 }
 
-// TestRepairSearchVolumeFallback forces the volume cap and checks the
-// fallback is transparent (and recoverable on the next small repair).
+// TestRepairSearchVolumeFallback forces the volume cap through its input
+// — a fault on a root-adjacent tree edge whose subtree holds more than
+// max(m, 256) arc volume — and checks the fallback is transparent (and
+// recoverable on the next small repair).
 func TestRepairSearchVolumeFallback(t *testing.T) {
 	g := gen.SparseGNP(200, 5, 3)
 	w := NewAssignment(g.M(), 5)
-	rep := NewRepairSearch(g, w, 0)
-	ref := NewSearch(g, w)
-	rep.volLimit = 1 // every non-empty detach falls back
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
-		opt := Options{Target: -1, DisabledEdges: []int{rng.Intn(g.M()), rng.Intn(g.M())}}
-		rep.Run(0, opt)
-		ref.Run(0, opt)
-		checkRepairMatchesScratch(t, rep, ref, -1, "capped")
-		if _, ok := rep.Changed(); ok {
-			// A fault set of only non-tree edges legitimately repairs
-			// in-place even with the cap (empty region); anything else
-			// must have delegated.
-			if len(rep.region) != 0 {
-				t.Fatalf("trial %d: non-empty region survived volLimit=1", trial)
+	limit := max(g.M(), 256)
+	var rep *RepairSearch
+	src, big := -1, -1
+	for s := 0; s < g.N() && big < 0; s++ {
+		rep = NewRepairSearch(g, w, s)
+		vol := make([]int, g.N()) // arc volume of each root child's subtree
+		for v := 0; v < g.N(); v++ {
+			c := v
+			for c >= 0 && rep.ParentOf(c) != s {
+				c = rep.ParentOf(c)
+			}
+			if c >= 0 {
+				vol[c] += g.Degree(v)
+			}
+		}
+		for c, cv := range vol {
+			if cv > limit {
+				src, big = s, rep.ParentEdgeOf(c)
 			}
 		}
 	}
-	rep.volLimit = g.M()
+	if big < 0 {
+		t.Fatal("no root-adjacent subtree exceeds the volume cap")
+	}
+	ref := NewSearch(g, w)
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		opt := Options{Target: -1, DisabledEdges: []int{big, rng.Intn(g.M())}}
+		rep.Run(src, opt)
+		ref.Run(src, opt)
+		checkRepairMatchesScratch(t, rep, ref, -1, "capped")
+		if _, ok := rep.Changed(); ok {
+			t.Fatalf("trial %d: a detach past the volume cap was repaired in place", trial)
+		}
+	}
 	opt := Options{Target: -1, DisabledEdges: []int{0}}
-	rep.Run(0, opt)
-	ref.Run(0, opt)
+	rep.Run(src, opt)
+	ref.Run(src, opt)
 	checkRepairMatchesScratch(t, rep, ref, -1, "recovered")
 }
 

@@ -1,6 +1,10 @@
 package wsp
 
 import (
+	"cmp"
+	"slices"
+
+	"repro/internal/bfs"
 	"repro/internal/graph"
 	"repro/internal/path"
 )
@@ -19,25 +23,12 @@ type Options struct {
 	DisabledEdges []int
 }
 
-// Search runs Dijkstra under a fixed weight assignment with per-run
-// vertex/edge masks. It is a reusable scratch object: results of a Run are
-// valid until the next Run. A Search is not safe for concurrent use; create
-// one per goroutine.
+// Search computes the unique shortest paths under a fixed weight
+// assignment with per-run vertex/edge masks. It is a reusable scratch
+// object: results of a Run are valid until the next Run. A Search is not
+// safe for concurrent use; create one per goroutine.
 type Search struct {
-	g *graph.Graph
-	w *Assignment
-
-	distHops []int32
-	distTie  []int64
-	parent   []int32
-	parentE  []int32
-	seen     []uint32 // epoch when dist first set
-	done     []uint32 // epoch when settled
-	vOff     []uint32 // epoch when vertex disabled
-	eOff     []uint32 // epoch when edge disabled
-	epoch    uint32
-
-	heap heapSlice
+	kernel
 
 	// TieWarnings counts relaxations that found two distinct equal-weight
 	// paths to a vertex — evidence that the weight assignment failed to
@@ -45,188 +36,217 @@ type Search struct {
 	TieWarnings int
 }
 
-type heapItem struct {
-	hops int32
-	tie  int64
-	v    int32
-}
-
-type heapSlice []heapItem
-
-func (h heapSlice) less(i, j int) bool {
-	if h[i].hops != h[j].hops {
-		return h[i].hops < h[j].hops
-	}
-	if h[i].tie != h[j].tie {
-		return h[i].tie < h[j].tie
-	}
-	return h[i].v < h[j].v
-}
-
-func (h *heapSlice) push(it heapItem) {
-	*h = append(*h, it)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s.less(i, p) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-func (h *heapSlice) pop() heapItem {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	*h = s[:last]
-	s = *h
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(s) && s.less(l, m) {
-			m = l
-		}
-		if r < len(s) && s.less(r, m) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	return top
-}
-
 // NewSearch returns a search scratch bound to g and the assignment w.
 // The assignment must cover g's edges.
 func NewSearch(g *graph.Graph, w *Assignment) *Search {
-	n, m := g.N(), g.M()
-	return &Search{
-		g:        g,
-		w:        w,
-		distHops: make([]int32, n),
-		distTie:  make([]int64, n),
-		parent:   make([]int32, n),
-		parentE:  make([]int32, n),
-		seen:     make([]uint32, n),
-		done:     make([]uint32, n),
-		vOff:     make([]uint32, n),
-		eOff:     make([]uint32, m),
-		heap:     make(heapSlice, 0, n),
+	return &Search{kernel: newKernel(g, w)}
+}
+
+// Run computes the shortest paths under W from src with the given
+// restrictions.
+func (s *Search) Run(src int, opt Options) { s.TieWarnings += s.run(src, opt) }
+
+// kernel is the per-vertex state of one search under W, the settle loop
+// over it, and the accessors reading it; Search and RepairSearch each own
+// one.
+//
+// Every edge weighs exactly one hop and W compares hops first, so Dijkstra
+// under W settles every vertex at hop distance d before any at d+1, and
+// level d in (tie, id) order. When level d starts, every relaxation into
+// it has come from level d-1, so its ties are final. settle therefore runs
+// a BFS by levels and sorts each level by (tie, id) before settling it:
+// every relaxation, parent choice, Target early exit and tie warning
+// happens in the order a heap would produce, with no heap.
+type kernel struct {
+	g *graph.Graph
+	w []int64 // per-edge tie-breakers
+
+	hops    []int32
+	tie     []int64
+	parent  []int32
+	parentE []int32
+	seen    []uint32 // epoch when first labelled
+	done    []uint32 // epoch when settled
+	vOff    []uint32 // epoch when vertex disabled
+	eOff    []uint32 // epoch when edge disabled
+	ep      uint32
+
+	// in is non-nil when the last run repaired in's base tree: settle
+	// searched only its region, and vertices outside it keep their base
+	// labels.
+	in *bfs.Tree
+
+	next  []int32 // vertices labelled for the level after the current one
+	level []item  // the level being settled
+}
+
+// item is one vertex of the level being settled, with its final tie sum.
+type item struct {
+	tie int64
+	v   int32
+}
+
+// byTieID orders a level the way Dijkstra under W settles it.
+func byTieID(a, b item) int {
+	if c := cmp.Compare(a.tie, b.tie); c != 0 {
+		return c
 	}
+	return cmp.Compare(a.v, b.v)
+}
+
+func newKernel(g *graph.Graph, w *Assignment) kernel {
+	n, m := g.N(), g.M()
+	return kernel{
+		g:       g,
+		w:       w.tie,
+		hops:    make([]int32, n),
+		tie:     make([]int64, n),
+		parent:  make([]int32, n),
+		parentE: make([]int32, n),
+		seen:    make([]uint32, n),
+		done:    make([]uint32, n),
+		vOff:    make([]uint32, n),
+		eOff:    make([]uint32, m),
+		next:    make([]int32, 0, n),
+		level:   make([]item, 0, n),
+	}
+}
+
+// begin starts a run: a new epoch, so no vertex is labelled or settled,
+// with the given masks stamped.
+func (k *kernel) begin(opt Options) {
+	k.ep++
+	if k.ep == 0 { // wrapped; reset stamps
+		clear(k.seen)
+		clear(k.done)
+		clear(k.vOff)
+		clear(k.eOff)
+		k.ep = 1
+	}
+	for _, v := range opt.DisabledVertices {
+		k.vOff[v] = k.ep
+	}
+	for _, e := range opt.DisabledEdges {
+		k.eOff[e] = k.ep
+	}
+}
+
+// run searches the whole graph from src and returns the tie warnings it
+// observed.
+func (k *kernel) run(src int, opt Options) int {
+	k.in = nil
+	k.begin(opt)
+	if k.vOff[src] == k.ep {
+		return 0
+	}
+	k.hops[src], k.tie[src] = 0, 0
+	k.parent[src], k.parentE[src] = -1, -1
+	k.seen[src] = k.ep
+	seed := [1]int64{int64(src)}
+	return k.settle(seed[:], opt.Target)
+}
+
+// settle runs the level-synchronous search. seeds are labelled vertices
+// packed as hops<<32 | v and sorted; each joins the level of its hops.
+// When k.in is set, only its region is searched. The run stops once
+// target (≥ 0) settles. settle returns the tie warnings it observed.
+//
+//ftbfs:hotpath
+func (k *kernel) settle(seeds []int64, target int) int {
+	ep, w, in := k.ep, k.w, k.in
+	hops, tie, parent, parentE := k.hops, k.tie, k.parent, k.parentE
+	seen, done, vOff, eOff := k.seen, k.done, k.vOff, k.eOff
+	next, level := k.next[:0], k.level[:0]
+	ties, si := 0, 0
+	for d := int32(0); si < len(seeds) || len(next) > 0; d++ {
+		if len(next) == 0 {
+			d = max(d, int32(seeds[si]>>32)) // jump over empty levels
+		}
+		level = level[:0]
+		for _, v := range next {
+			level = append(level, item{tie[v], v})
+		}
+		for ; si < len(seeds) && int32(seeds[si]>>32) == d; si++ {
+			// A seed reached on a shorter inside path settled earlier.
+			if v := int32(seeds[si]); done[v] != ep {
+				level = append(level, item{tie[v], v})
+			}
+		}
+		slices.SortFunc(level, byTieID)
+		next = next[:0]
+		nh := d + 1
+		for _, it := range level {
+			v := it.v
+			done[v] = ep
+			if int(v) == target {
+				k.next, k.level = next, level
+				return ties
+			}
+			for _, a := range k.g.Arcs(int(v)) {
+				u, eid := a.To, a.ID
+				if done[u] == ep || vOff[u] == ep || eOff[eid] == ep || (in != nil && !in.In(u)) {
+					continue
+				}
+				nt := it.tie + w[eid]
+				switch {
+				case seen[u] != ep || nh < hops[u]:
+					// First label, or a seed reached on a shorter inside
+					// path: u joins the next level.
+					seen[u] = ep
+					hops[u], tie[u] = nh, nt
+					parent[u], parentE[u] = v, eid
+					next = append(next, u)
+				case nh == hops[u] && nt < tie[u]:
+					tie[u] = nt
+					parent[u], parentE[u] = v, eid
+				case nh == hops[u] && nt == tie[u] && parent[u] != v:
+					ties++
+				}
+			}
+		}
+	}
+	k.next, k.level = next, level
+	return ties
 }
 
 // Graph returns the graph the search is bound to.
-func (s *Search) Graph() *graph.Graph { return s.g }
+func (k *kernel) Graph() *graph.Graph { return k.g }
 
-// Run executes Dijkstra from src under the given restrictions.
-func (s *Search) Run(src int, opt Options) {
-	s.epoch++
-	if s.epoch == 0 { // wrapped; reset stamps
-		for i := range s.seen {
-			s.seen[i], s.done[i], s.vOff[i] = 0, 0, 0
-		}
-		for i := range s.eOff {
-			s.eOff[i] = 0
-		}
-		s.epoch = 1
-	}
-	ep := s.epoch
-	for _, v := range opt.DisabledVertices {
-		s.vOff[v] = ep
-	}
-	for _, e := range opt.DisabledEdges {
-		s.eOff[e] = ep
-	}
-	s.heap = s.heap[:0]
-	if s.vOff[src] == ep {
-		return
-	}
-	s.distHops[src], s.distTie[src] = 0, 0
-	s.parent[src], s.parentE[src] = -1, -1
-	s.seen[src] = ep
-	// Hoist the hot per-vertex arrays out of s so the relaxation loop works
-	// on locals instead of re-loading fields around every heap call.
-	distHops, distTie := s.distHops, s.distTie
-	seen, done := s.seen, s.done
-	vOff, eOff := s.vOff, s.eOff
-	tie := s.w.tie
-	s.heap.push(heapItem{hops: 0, tie: 0, v: int32(src)})
-	for len(s.heap) > 0 {
-		it := s.heap.pop()
-		v := int(it.v)
-		if done[v] == ep {
-			continue
-		}
-		if it.hops != distHops[v] || it.tie != distTie[v] {
-			continue // stale entry
-		}
-		done[v] = ep
-		if opt.Target >= 0 && v == opt.Target {
-			return
-		}
-		for _, a := range s.g.Arcs(v) {
-			u, eid := a.To, a.ID
-			if vOff[u] == ep || eOff[eid] == ep || done[u] == ep {
-				continue
-			}
-			nh := it.hops + 1
-			nt := it.tie + tie[eid]
-			if seen[u] != ep {
-				seen[u] = ep
-				distHops[u], distTie[u] = nh, nt
-				s.parent[u], s.parentE[u] = int32(v), eid
-				s.heap.push(heapItem{hops: nh, tie: nt, v: u})
-				continue
-			}
-			if nh < distHops[u] || (nh == distHops[u] && nt < distTie[u]) {
-				distHops[u], distTie[u] = nh, nt
-				s.parent[u], s.parentE[u] = int32(v), eid
-				s.heap.push(heapItem{hops: nh, tie: nt, v: u})
-			} else if nh == distHops[u] && nt == distTie[u] && int(s.parent[u]) != v {
-				s.TieWarnings++
-			}
-		}
-	}
+// Reachable reports whether v is reachable under the last run's
+// restrictions: settled, or outside a repaired region with a base label.
+// With a Target option, only vertices settled before the target report
+// true, plus, for RepairSearch, the vertices its repair kept.
+func (k *kernel) Reachable(v int) bool {
+	return k.done[v] == k.ep || (k.in != nil && !k.in.In(int32(v)) && k.hops[v] >= 0)
 }
-
-// Reachable reports whether v was settled in the last run. With a Target
-// option, only vertices settled before the target report true.
-func (s *Search) Reachable(v int) bool { return s.done[v] == s.epoch }
 
 // HopDist returns the unweighted distance to v from the last run's source,
 // or -1 when unreachable.
-func (s *Search) HopDist(v int) int32 {
-	if s.done[v] != s.epoch {
+func (k *kernel) HopDist(v int) int32 {
+	if !k.Reachable(v) {
 		return -1
 	}
-	return s.distHops[v]
+	return k.hops[v]
 }
 
 // Dist returns the full weight to v and whether v is reachable.
-func (s *Search) Dist(v int) (Weight, bool) {
-	if s.done[v] != s.epoch {
+func (k *kernel) Dist(v int) (Weight, bool) {
+	if !k.Reachable(v) {
 		return Weight{}, false
 	}
-	return Weight{Hops: s.distHops[v], Tie: s.distTie[v]}, true
+	return Weight{Hops: k.hops[v], Tie: k.tie[v]}, true
 }
 
 // PathTo returns the unique shortest path from the source to v under W, or
 // nil when v is unreachable.
-func (s *Search) PathTo(v int) path.Path {
-	if s.done[v] != s.epoch {
+func (k *kernel) PathTo(v int) path.Path {
+	if !k.Reachable(v) {
 		return nil
 	}
-	n := int(s.distHops[v]) + 1
+	n := int(k.hops[v]) + 1
 	p := make(path.Path, n)
 	i := n - 1
-	for u := v; u != -1; u = int(s.parent[u]) {
+	for u := v; u != -1; u = int(k.parent[u]) {
 		p[i] = u
 		i--
 	}
@@ -235,26 +255,26 @@ func (s *Search) PathTo(v int) path.Path {
 
 // ParentOf returns the predecessor of v on its shortest path (-1 for the
 // source or unreachable vertices).
-func (s *Search) ParentOf(v int) int {
-	if s.done[v] != s.epoch {
+func (k *kernel) ParentOf(v int) int {
+	if !k.Reachable(v) {
 		return -1
 	}
-	return int(s.parent[v])
+	return int(k.parent[v])
 }
 
 // ParentEdgeOf returns the edge ID connecting v to its predecessor, or -1.
-func (s *Search) ParentEdgeOf(v int) int {
-	if s.done[v] != s.epoch {
+func (k *kernel) ParentEdgeOf(v int) int {
+	if !k.Reachable(v) {
 		return -1
 	}
-	return int(s.parentE[v])
+	return int(k.parentE[v])
 }
 
 // LastEdgeTo returns the final edge of the shortest path to v. ok is false
 // when v is unreachable or is the source itself.
-func (s *Search) LastEdgeTo(v int) (graph.Edge, bool) {
-	if s.done[v] != s.epoch || s.parent[v] < 0 {
+func (k *kernel) LastEdgeTo(v int) (graph.Edge, bool) {
+	if !k.Reachable(v) || k.parent[v] < 0 {
 		return graph.Edge{}, false
 	}
-	return graph.Edge{U: int(s.parent[v]), V: v}.Normalize(), true
+	return graph.Edge{U: int(k.parent[v]), V: v}.Normalize(), true
 }

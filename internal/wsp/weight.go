@@ -1,8 +1,12 @@
 // Package wsp implements the unique-shortest-path machinery that the paper
 // assumes as a primitive: a weight assignment W over the edges of an
 // unweighted graph that breaks shortest-path ties in a consistent manner, and
-// a Dijkstra search that computes the unique shortest paths under W in
-// arbitrary vertex/edge-restricted subgraphs.
+// a search that computes the unique shortest paths under W in arbitrary
+// vertex/edge-restricted subgraphs. Because every edge adds exactly one hop,
+// the search is a BFS by levels that settles each level in (tie, id) order —
+// the order Dijkstra under W would settle it in — with no priority queue.
+// Search runs it from scratch; RepairSearch runs the same settle loop over
+// the part of a frozen base tree a fault set detaches.
 //
 // A weight is the exact pair (hops, tie): the number of edges on the path and
 // the sum of per-edge 62-bit tie-breakers. Weights compare lexicographically,

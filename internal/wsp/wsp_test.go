@@ -232,7 +232,7 @@ func TestSearchQuickDeterminism(t *testing.T) {
 func TestSearchEpochWraparound(t *testing.T) {
 	g := gen.PathGraph(4)
 	s := NewSearch(g, NewAssignment(g.M(), 1))
-	s.epoch = ^uint32(0) - 1 // two runs from wrapping
+	s.ep = ^uint32(0) - 1 // two runs from wrapping
 	s.Run(0, Options{Target: -1})
 	s.Run(0, Options{Target: -1, DisabledVertices: []int{1}})
 	if s.Reachable(3) {
