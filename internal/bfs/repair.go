@@ -1,10 +1,6 @@
 package bfs
 
-import (
-	"slices"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // Repairer computes fault-restricted BFS distance tables by incrementally
 // repairing a fault-free base table instead of re-running BFS from scratch.
@@ -45,7 +41,7 @@ type Repairer struct {
 	done  []uint32
 	eMask []uint32
 
-	seeds     []int64 // packed (level<<32 | vertex), sorted by level
+	seeds     []int64 // packed (level<<32 | vertex), grouped by level
 	cur, next []int32
 
 	full bool
@@ -157,7 +153,7 @@ func (r *Repairer) repair() {
 	if len(r.seeds) == 0 {
 		return // region fully disconnected from the survivors
 	}
-	slices.Sort(r.seeds)
+	r.base.SortSeeds(r.seeds)
 	cur, next := r.cur[:0], r.next[:0]
 	si := 0
 	d := int32(r.seeds[0] >> 32)

@@ -2,6 +2,7 @@ package bfs
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -18,6 +19,41 @@ func compareDists(t *testing.T, rep *Repairer, ref *Runner, tag string) {
 		}
 		if rep.Dist(v) != sd[v] {
 			t.Fatalf("%s: Dist(%d) = %d repair vs %d scratch", tag, v, rep.Dist(v), sd[v])
+		}
+	}
+}
+
+// TestSortSeeds pins the counting sort both repair kernels seed from: the
+// result is a permutation of the input grouped by ascending level, for
+// every level a seed can take (1 through depth+1), and the tree can be
+// re-frozen without losing its scratch.
+func TestSortSeeds(t *testing.T) {
+	g := gen.SparseGNP(300, 4, 5)
+	r := NewRunner(g)
+	tr := NewTree(g)
+	rng := rand.New(rand.NewSource(3))
+	for _, src := range []int{0, 17, 299} {
+		r.Run(src, nil, nil)
+		tr.Freeze(r.Dists(), r.parent)
+		depth := slices.Max(r.Dists())
+		for trial := 0; trial < 50; trial++ {
+			var seeds []int64
+			for _, v := range rng.Perm(g.N())[:rng.Intn(g.N())] {
+				level := 1 + rng.Int63n(int64(depth)+1)
+				seeds = append(seeds, level<<32|int64(v))
+			}
+			got := slices.Clone(seeds)
+			tr.SortSeeds(got)
+			for i := 1; i < len(got); i++ {
+				if got[i-1]>>32 > got[i]>>32 {
+					t.Fatalf("src %d: level %d before level %d", src, got[i-1]>>32, got[i]>>32)
+				}
+			}
+			slices.Sort(got)
+			slices.Sort(seeds)
+			if !slices.Equal(got, seeds) {
+				t.Fatalf("src %d: SortSeeds is not a permutation of its input", src)
+			}
 		}
 	}
 }

@@ -32,6 +32,11 @@ type Tree struct {
 	// volLimit caps the arc volume (sum of degrees) of the region: past
 	// it a from-scratch search is cheaper than a repair.
 	volLimit int
+
+	// SortSeeds scratch: one counter per seed level (sized by Freeze from
+	// the maximum depth) and a copy of the seeds (at most one per vertex).
+	levelCnt []int32
+	seedTmp  []int64
 }
 
 // NewTree returns an empty tree bound to g; Freeze fills it.
@@ -44,6 +49,7 @@ func NewTree(g *graph.Graph) *Tree {
 		kidOff:   make([]int32, n+1),
 		in:       make([]uint32, n),
 		volLimit: max(g.M(), 256),
+		seedTmp:  make([]int64, n),
 	}
 }
 
@@ -54,8 +60,10 @@ func (t *Tree) Freeze(dist, parent []int32) {
 	copy(t.dist, dist)
 	off := t.kidOff
 	clear(off)
+	depth := int32(0)
 	for v, d := range t.dist {
 		t.parent[v] = -1
+		depth = max(depth, d)
 		if d > 0 {
 			t.parent[v] = parent[v]
 			off[parent[v]+1]++
@@ -79,6 +87,12 @@ func (t *Tree) Freeze(dist, parent []int32) {
 	}
 	copy(off[1:], off[:n])
 	off[0] = 0
+	// A seed's level is at most depth+1 (one hop past a base vertex);
+	// SortSeeds needs one counter per level plus one.
+	if cap(t.levelCnt) < int(depth)+3 {
+		t.levelCnt = make([]int32, depth+3)
+	}
+	t.levelCnt = t.levelCnt[:depth+3]
 	t.Reset()
 }
 
@@ -136,6 +150,44 @@ func (t *Tree) Detach() bool {
 		}
 	}
 	return true
+}
+
+// SortSeeds groups repair seeds, packed as level<<32 | v, by ascending
+// level with one counting-sort pass. Order within a level is unspecified:
+// both repair sweeps only need the grouping (the WSP settle loop re-sorts
+// each level by (tie, id) itself). Levels must lie in [0, depth+1] of the
+// frozen tree, and there may be at most one seed per vertex.
+//
+//ftbfs:hotpath
+func (t *Tree) SortSeeds(seeds []int64) {
+	if len(seeds) < 2 {
+		return
+	}
+	lo, hi := int32(seeds[0]>>32), int32(seeds[0]>>32)
+	for _, s := range seeds[1:] {
+		l := int32(s >> 32)
+		lo, hi = min(lo, l), max(hi, l)
+	}
+	if lo == hi {
+		return
+	}
+	// cnt[l-lo+1] counts level l; the prefix sums turn cnt[l-lo] into the
+	// first slot of level l, advanced as the level fills.
+	cnt := t.levelCnt[:hi-lo+2]
+	clear(cnt)
+	tmp := t.seedTmp[:len(seeds)]
+	copy(tmp, seeds)
+	for _, s := range tmp {
+		cnt[int32(s>>32)-lo+1]++
+	}
+	for i := 1; i < len(cnt); i++ {
+		cnt[i] += cnt[i-1]
+	}
+	for _, s := range tmp {
+		l := int32(s>>32) - lo
+		seeds[cnt[l]] = s
+		cnt[l]++
+	}
 }
 
 // In reports whether v is in the current region.

@@ -66,3 +66,45 @@ func BenchmarkRepairSearch(b *testing.B) {
 		r.Run(0, Options{Target: -1, DisabledEdges: faultSets[i%len(faultSets)]})
 	}
 }
+
+// BenchmarkRepairSearchTarget is the replace engine's kernel shape: Target
+// runs toward a vertex t with one edge of t's base path π faulted
+// alongside a non-tree edge.
+func BenchmarkRepairSearchTarget(b *testing.B) {
+	g := gen.SparseGNP(1600, 8, 1)
+	r := NewRepairSearch(g, NewAssignment(g.M(), 1), 0)
+	_, parentE := r.Base()
+	isTree := make([]bool, g.M())
+	for _, e := range parentE {
+		if e >= 0 {
+			isTree[e] = true
+		}
+	}
+	var nonTree []int
+	for id, tree := range isTree {
+		if !tree {
+			nonTree = append(nonTree, id)
+		}
+	}
+	rng := rand.New(rand.NewSource(9))
+	type query struct {
+		target int
+		faults []int
+	}
+	queries := make([]query, 64)
+	for i := range queries {
+		t := rng.Intn(g.N())
+		for parentE[t] < 0 {
+			t = rng.Intn(g.N())
+		}
+		pi := r.PathTo(t)
+		onPi := parentE[pi[1+rng.Intn(len(pi)-1)]]
+		queries[i] = query{t, []int{int(onPi), nonTree[rng.Intn(len(nonTree))]}}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := queries[i%len(queries)]
+		r.Run(0, Options{Target: q.target, DisabledEdges: q.faults})
+	}
+}

@@ -1,6 +1,7 @@
 package wsp
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/bfs"
@@ -17,9 +18,10 @@ import (
 // subtrees of disabled vertices). Everything outside that detached region R
 // keeps its exact base (hops, tie, parent, parentE); vertices inside R are
 // re-settled by the same settle loop as Search, restricted to R and seeded
-// from the surviving boundary arcs. Because the optimum is unique per
-// vertex, the repaired values are bit-identical to a from-scratch run —
-// the repair changes the settle schedule, never the result.
+// from the surviving boundary arcs, ranked once by their frozen offers.
+// Because the optimum is unique per vertex, the repaired values are
+// bit-identical to a from-scratch run — the repair changes the settle
+// schedule, never the result.
 //
 // Contract: after a Run with a Target, accessors are valid for the target,
 // every vertex on the target's path, and every vertex outside R (exactly
@@ -41,7 +43,15 @@ type RepairSearch struct {
 	bTie     []int64
 	bParentE []int32
 
-	seeds []int64 // boundary seeds packed as hops<<32 | v, sorted
+	// Ranked boundary candidates: rank[arcOff[x]:arcOff[x+1]] holds x's
+	// arcs (the graph's own CSR spans, permuted) by ascending base offer
+	// (bHops[u]+1, bTie[u]+w[e]) of the far end u, then edge ID. The base
+	// is frozen, so the first arc that survives a fault set and leaves the
+	// region is x's best crossing arc.
+	arcOff []int32
+	rank   []graph.Arc
+
+	seeds []int64 // boundary seeds packed as hops<<32 | v, grouped by hops
 	ties  int     // tie warnings across the base run, repairs and fallbacks
 }
 
@@ -66,7 +76,33 @@ func NewRepairSearch(g *graph.Graph, w *Assignment, src int) *RepairSearch {
 	r.base.Freeze(r.hops, r.parent)
 	copy(r.bTie, r.tie)
 	copy(r.bParentE, r.parentE)
+	r.rankArcs()
+	r.seeds = make([]int64, 0, n)
 	return r
+}
+
+// rankArcs builds the ranked candidate lists from the frozen base labels.
+// Arcs of base-unreachable vertices keep their order: such a vertex joins
+// a region only as a disabled cut root, which repair never seeds.
+func (r *RepairSearch) rankArcs() {
+	off, arcs := r.g.ArcData()
+	r.arcOff = off
+	r.rank = slices.Clone(arcs)
+	bHops, bTie, w := r.base.Dists(), r.bTie, r.w
+	byOffer := func(a, b graph.Arc) int {
+		if c := cmp.Compare(bHops[a.To], bHops[b.To]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(bTie[a.To]+w[a.ID], bTie[b.To]+w[b.ID]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	}
+	for x, d := range bHops {
+		if d >= 0 {
+			slices.SortFunc(r.rank[off[x]:off[x+1]], byOffer)
+		}
+	}
 }
 
 // DisableRepair makes every subsequent Run search from scratch (the
@@ -169,37 +205,47 @@ func (r *RepairSearch) Run(src int, opt Options) {
 // exact parent and parent edge — for every vertex it settles. R vertices
 // left unsettled are exactly the ones unreachable under the fault set.
 //
+// The best crossing arc is the first of x's ranked candidates whose far
+// end is outside R and whose edge is not faulted. Every later candidate
+// with exactly the same offer is a second equal-weight path to x and
+// counts one tie warning. A neighbour of a base-reachable vertex is
+// itself base-reachable, so every candidate's offer is a real one.
+//
 //ftbfs:hotpath
 func (r *RepairSearch) repair(target int) {
 	ep, w, in := r.ep, r.w, r.base
 	hops, tie, parent, parentE := r.hops, r.tie, r.parent, r.parentE
 	seen, vOff, eOff := r.seen, r.vOff, r.eOff
 	bHops, bTie := in.Dists(), r.bTie
-	r.seeds = r.seeds[:0]
+	off, rank := r.arcOff, r.rank
+	seeds := r.seeds[:0]
 	for _, x := range in.Region() {
 		if vOff[x] == ep {
 			continue
 		}
-		for _, a := range r.g.Arcs(int(x)) {
+		cands := rank[off[x]:off[x+1]]
+		for i, a := range cands {
 			u, eid := a.To, a.ID
-			if in.In(u) || eOff[eid] == ep || bHops[u] < 0 {
+			if in.In(u) || eOff[eid] == ep {
 				continue
 			}
-			nh := bHops[u] + 1
-			nt := bTie[u] + w[eid]
-			switch {
-			case seen[x] != ep || nh < hops[x] || (nh == hops[x] && nt < tie[x]):
-				seen[x] = ep
-				hops[x], tie[x] = nh, nt
-				parent[x], parentE[x] = u, eid
-			case nh == hops[x] && nt == tie[x] && parent[x] != u:
-				r.ties++
+			nh, nt := bHops[u]+1, bTie[u]+w[eid]
+			seen[x] = ep
+			hops[x], tie[x] = nh, nt
+			parent[x], parentE[x] = u, eid
+			seeds = append(seeds, int64(nh)<<32|int64(x))
+			for _, b := range cands[i+1:] {
+				if bHops[b.To]+1 != nh || bTie[b.To]+w[b.ID] != nt {
+					break
+				}
+				if !in.In(b.To) && eOff[b.ID] != ep {
+					r.ties++
+				}
 			}
-		}
-		if seen[x] == ep {
-			r.seeds = append(r.seeds, int64(hops[x])<<32|int64(x))
+			break
 		}
 	}
-	slices.Sort(r.seeds)
-	r.ties += r.settle(r.seeds, target)
+	in.SortSeeds(seeds)
+	r.seeds = seeds
+	r.ties += r.settle(seeds, target)
 }

@@ -1,10 +1,12 @@
 package wsp
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 // checkRepairMatchesScratch compares every accessor of a RepairSearch
@@ -211,6 +213,124 @@ func TestRepairSearchDisable(t *testing.T) {
 		checkRepairMatchesScratch(t, rep, ref, -1, "disabled")
 		if _, ok := rep.Changed(); ok {
 			t.Fatal("disabled repair reported an incremental run")
+		}
+	}
+}
+
+// TestRepairSearchRankedFallThrough faults a tree edge e together with the
+// best surviving crossing arc of some x in e's subtree R, so the seed scan
+// must walk past a faulted candidate to the next one. For x below the cut
+// root, x's top-ranked candidate (its base parent) also lies inside R and
+// must be skipped. The best crossing arc is computed here from fault-free
+// labels, independently of the ranked lists.
+func TestRepairSearchRankedFallThrough(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		g := gen.SparseGNP(160, 5, seed)
+		w := NewAssignment(g.M(), seed*13)
+		src := int(seed) % g.N()
+		rep := NewRepairSearch(g, w, src)
+		ref := NewSearch(g, w)
+		ref.Run(src, Options{Target: -1})
+		bHops := make([]int32, g.N())
+		bTie := make([]int64, g.N())
+		for v := range g.N() {
+			dw, _ := ref.Dist(v)
+			bHops[v], bTie[v] = dw.Hops, dw.Tie
+		}
+		base, bParentE := rep.Base()
+		inR := make([]bool, g.N())
+		cases, inside := 0, 0
+		for root := range g.N() {
+			e := int(bParentE[root])
+			if e < 0 {
+				continue
+			}
+			sub := []int{root}
+			for i := 0; i < len(sub); i++ {
+				for _, c := range base.Children(sub[i]) {
+					sub = append(sub, int(c))
+				}
+			}
+			for _, v := range sub {
+				inR[v] = true
+			}
+			for _, x := range sub {
+				best, bestW := -1, Weight{}
+				for _, a := range g.Arcs(x) {
+					u, id := int(a.To), int(a.ID)
+					if inR[u] || id == e {
+						continue
+					}
+					o := Weight{Hops: bHops[u] + 1, Tie: bTie[u] + w.EdgeWeight(id).Tie}
+					if best < 0 || o.Less(bestW) || (o == bestW && id < best) {
+						best, bestW = id, o
+					}
+				}
+				if best < 0 {
+					continue
+				}
+				if x != root {
+					inside++
+				}
+				cases++
+				for _, target := range []int{-1, x} {
+					opt := Options{Target: target, DisabledEdges: []int{e, best}}
+					rep.Run(src, opt)
+					ref.Run(src, opt)
+					checkRepairMatchesScratch(t, rep, ref, target, fmt.Sprintf("seed=%d e=%d x=%d target=%d", seed, e, x, target))
+				}
+			}
+			for _, v := range sub {
+				inR[v] = false
+			}
+		}
+		if cases == 0 || inside == 0 {
+			t.Fatalf("seed %d: %d fall-through cases, %d with the top candidate inside R", seed, cases, inside)
+		}
+	}
+}
+
+// TestRepairSearchSeedTies pins the seed tie count on a hand-built graph.
+// The source 0 reaches x = 1 through 2 (the edge the test faults), a pair
+// of worse but mutually tied offers through 3 and 4, and k exactly equal
+// best offers through 5, 6, …. Detaching x must seed it from the lowest
+// edge ID among the k best and report k-1 tie warnings: only candidates
+// tied with the seed count, not the worse pair the arc order meets first.
+func TestRepairSearchSeedTies(t *testing.T) {
+	for _, k := range []int{2, 3} {
+		b := graph.NewBuilder(5 + k)
+		var ties []int64
+		add := func(u, v int, tie int64) int {
+			ties = append(ties, tie)
+			return b.MustAddEdge(u, v)
+		}
+		for v := 2; v < 5+k; v++ {
+			add(0, v, 1) // every neighbour of x sits at (1, 1)
+		}
+		add(1, 3, 8) // worse pair: (2, 9) twice
+		add(1, 4, 8)
+		firstBest := -1
+		for i := range k {
+			if id := add(1, 5+i, 4); i == 0 { // best: (2, 5), k times
+				firstBest = id
+			}
+		}
+		cut := add(1, 2, 1) // base parent edge: (2, 2)
+		g := b.Freeze()
+		w := &Assignment{tie: ties}
+		rep := NewRepairSearch(g, w, 0)
+		if rep.ParentEdgeOf(1) != cut || rep.TieWarnings() != 0 {
+			t.Fatalf("k=%d: base parent edge %d, %d tie warnings; want %d, 0", k, rep.ParentEdgeOf(1), rep.TieWarnings(), cut)
+		}
+		for _, target := range []int{-1, 1} {
+			before := rep.TieWarnings()
+			rep.Run(0, Options{Target: target, DisabledEdges: []int{cut}})
+			if got := rep.TieWarnings() - before; got != k-1 {
+				t.Fatalf("k=%d target=%d: %d tie warnings, want %d", k, target, got, k-1)
+			}
+			if d, _ := rep.Dist(1); d != (Weight{Hops: 2, Tie: 5}) || rep.ParentEdgeOf(1) != firstBest {
+				t.Fatalf("k=%d target=%d: x at %v via edge %d, want (2, 5) via %d", k, target, d, rep.ParentEdgeOf(1), firstBest)
+			}
 		}
 	}
 }

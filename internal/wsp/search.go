@@ -147,7 +147,9 @@ func (k *kernel) run(src int, opt Options) int {
 }
 
 // settle runs the level-synchronous search. seeds are labelled vertices
-// packed as hops<<32 | v and sorted; each joins the level of its hops.
+// packed as hops<<32 | v and grouped by ascending hops (bfs.Tree.SortSeeds),
+// not fully sorted: each joins the level of its hops, and every level is
+// sorted by (tie, id) before it settles.
 // When k.in is set, only its region is searched. The run stops once
 // target (≥ 0) settles. settle returns the tie warnings it observed.
 //
